@@ -44,10 +44,8 @@ from .polynomials import (
     poly_gcd,
     poly_lcm,
     reciprocal_sign,
-    substitute_inverse,
-    three_point_arith,
 )
-from .scalars import GaussianRational, arith, gaussian, parse_scalar
+from .scalars import GaussianRational, gaussian, parse_scalar
 from .tetra import (
     ThreePointElement,
     VElement,

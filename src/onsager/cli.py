@@ -23,7 +23,7 @@ from .expressions import (
     parse_value,
     realization_of,
 )
-from .polynomials import TP_T_DPRIME, TP_T_PRIME, format_laurent, monic, reciprocal_sign
+from .polynomials import T, T_MINUS_ONE, TP_T_DPRIME, TP_T_PRIME, format_laurent, monic, reciprocal_sign
 
 
 def _records_mode() -> bool:
@@ -49,8 +49,7 @@ def _cmd_jacobi(args) -> int:
     kinds = {realization_of(e) for e in elements}
     if len(kinds) > 1:
         raise ExpressionError(f"mixed realizations: {sorted(kinds)}")
-    x, y, z = elements
-    defect = x.bracket(y.bracket(z)) + y.bracket(z.bracket(x)) + z.bracket(x.bracket(y))
+    defect = jacobi_defect(*elements)
     text = format_value(defect)
     _emit({"defect": text, "zero": str(defect.is_zero).lower(), "text": text})
     return 0
@@ -101,9 +100,12 @@ def _check_line(name: str, detail: str, ok: bool, defect: str = "") -> None:
         print(f"FAIL {name} {detail}" + (f" defect={defect}" if defect else ""))
 
 
+def _abstract_basis(window: int) -> list:
+    return [core.A(m) for m in range(-window, window + 1)] + [core.G(l) for l in range(1, window + 1)]
+
+
 def _verify_onsager(window: int) -> bool:
-    basis = [core.A(m) for m in range(-window, window + 1)]
-    basis += [core.G(l) for l in range(1, window + 1)]
+    basis = _abstract_basis(window)
     failures = 0
     count = 0
     for x in basis:
@@ -133,8 +135,7 @@ def _verify_loop(window: int) -> bool:
                 f"{bad} failing identities" if bad else "")
     ok_all &= bad == 0
 
-    basis = [core.A(m) for m in range(-window, window + 1)]
-    basis += [core.G(l) for l in range(1, window + 1)]
+    basis = _abstract_basis(window)
     bad = 0
     for x in basis:
         for y in basis:
@@ -157,20 +158,16 @@ def _verify_tetra(window: int) -> bool:
     ok_all = report.all_pass
 
     u0, u1, u2 = tetra.u_elements()
-    t = tetra.T
-    t_prime = TP_T_PRIME
-    t_dprime = TP_T_DPRIME
     checks = [
-        ("[u_0,u_1] = -u_2*t", tetra.tp_bracket(u0, u1) == -(t * u2)),
-        ("[u_1,u_2] = -u_0*t'", tetra.tp_bracket(u1, u2) == -(t_prime * u0)),
-        ("[u_2,u_0] = -u_1*t''", tetra.tp_bracket(u2, u0) == -(t_dprime * u1)),
+        ("[u_0,u_1] = -u_2*t", tetra.tp_bracket(u0, u1) == -(T * u2)),
+        ("[u_1,u_2] = -u_0*t'", tetra.tp_bracket(u1, u2) == -(TP_T_PRIME * u0)),
+        ("[u_2,u_0] = -u_1*t''", tetra.tp_bracket(u2, u0) == -(TP_T_DPRIME * u1)),
     ]
     v0, v1, v2 = tetra.v_elements()
-    t_minus_one = tetra.T_MINUS_ONE
     checks += [
-        ("[v_0,v_1] = -v_2*(t-1)", tetra.tp_bracket(v0, v1) == -(t_minus_one * v2)),
+        ("[v_0,v_1] = -v_2*(t-1)", tetra.tp_bracket(v0, v1) == -(T_MINUS_ONE * v2)),
         ("[v_1,v_2] = -v_0", tetra.tp_bracket(v1, v2) == -v0),
-        ("[v_2,v_0] = v_1*t", tetra.tp_bracket(v2, v0) == t * v1),
+        ("[v_2,v_0] = v_1*t", tetra.tp_bracket(v2, v0) == T * v1),
     ]
     for detail, ok in checks:
         _check_line("generator-relations", detail, ok)
@@ -347,8 +344,12 @@ def main(argv=None) -> int:
     except ExpressionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ArithmeticError) as exc:
+        # ArithmeticError covers division by zero and failed exact divisions.
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError as exc:
+        print(f"error: input too large: {exc}", file=sys.stderr)
         return 1
 
 

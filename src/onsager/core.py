@@ -18,9 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, attrgetter, sub
 
-from .polynomials import LaurentPoly
-from .scalars import Scalar, as_scalar, format_scalar, is_scalar
+from .polynomials import LaurentPoly, format_terms
+from .scalars import Scalar, as_scalar, is_scalar
 
 
 class OnsagerElement:
@@ -169,9 +170,13 @@ def bracket(x: OnsagerElement, y: OnsagerElement) -> OnsagerElement:
     return _make(a_out, g_out)
 
 
-def jacobi_defect(x: OnsagerElement, y: OnsagerElement, z: OnsagerElement) -> OnsagerElement:
-    """[x,[y,z]] + [y,[z,x]] + [z,[x,y]]; zero exactly when Jacobi holds."""
-    return bracket(x, bracket(y, z)) + bracket(y, bracket(z, x)) + bracket(z, bracket(x, y))
+def jacobi_defect(x, y, z):
+    """[x,[y,z]] + [y,[z,x]] + [z,[x,y]]; zero exactly when Jacobi holds.
+
+    Works for any element type with .bracket and addition, so the same
+    defect is computed in every realization.
+    """
+    return x.bracket(y.bracket(z)) + y.bracket(z.bracket(x)) + z.bracket(x.bracket(y))
 
 
 @dataclass(frozen=True)
@@ -276,29 +281,74 @@ def reconstruct_basis(max_n: int, seeds=None) -> dict[str, OnsagerElement]:
 
 def format_onsager(x: OnsagerElement) -> str:
     """Canonical text: A-terms by ascending index, then G-terms."""
-    if x.is_zero:
-        return "0"
-    parts = []
-    for label, terms in (("A", x._a), ("G", x._g)):
-        for idx in sorted(terms):
-            parts.append((f"{label}_{idx}", terms[idx]))
-    return _format_linear(parts)
+    return format_terms(
+        [(f"A_{m}", x._a[m]) for m in sorted(x._a)] + [(f"G_{l}", x._g[l]) for l in sorted(x._g)]
+    )
 
 
-def _format_linear(parts) -> str:
-    from .scalars import GaussianRational
+class CoordinateTriple:
+    """Three coordinates over a coefficient ring, with an sl2-type bracket.
 
-    chunks = []
-    for atom, c in parts:
-        if isinstance(c, GaussianRational):
-            body = f"({format_scalar(c)})*{atom}"
-            negative = False
-        else:
-            negative = c < 0
-            mag = -c if negative else c
-            body = atom if mag == 1 else f"{mag}*{atom}"
-        if not chunks:
-            chunks.append(f"-{body}" if negative else body)
-        else:
-            chunks.append(f"- {body}" if negative else f"+ {body}")
-    return " ".join(chunks)
+    The loop, three-point and v realizations all have this shape.  A
+    subclass names its coordinates in ``__slots__`` and their print atoms in
+    ``ATOMS``, lists the non-scalar factors it accepts for ring
+    multiplication in ``FACTORS``, converts one coordinate into its ring
+    with the ``_coerce(value, atom)`` hook, and defines ``bracket`` through
+    its realization's module-level bracket function.
+    """
+
+    __slots__ = ()
+    ATOMS: tuple = ()
+    FACTORS: tuple = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._coords = attrgetter(*cls.__slots__)
+        cls._zero = cls._coerce(0, cls.ATOMS[0])
+
+    def __init__(self, *coords):
+        coerce, zero = self._coerce, self._zero
+        for name, atom, value in zip(self.__slots__, self.ATOMS, coords):
+            setattr(self, name, zero if value is None else coerce(value, atom))
+
+    def coords(self) -> tuple:
+        return self._coords(self)
+
+    @property
+    def is_zero(self) -> bool:
+        return not any(self.coords())
+
+    def _zip(self, other, op):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return type(self)(*map(op, self.coords(), other.coords()))
+
+    def __add__(self, other):
+        return self._zip(other, add)
+
+    def __sub__(self, other):
+        return self._zip(other, sub)
+
+    def __neg__(self):
+        return type(self)(*[-c for c in self.coords()])
+
+    def __rmul__(self, factor):
+        if is_scalar(factor) or isinstance(factor, self.FACTORS):
+            return type(self)(*[factor * c for c in self.coords()])
+        return NotImplemented
+
+    __mul__ = __rmul__
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.coords() == other.coords()
+
+    def __bool__(self):
+        return not self.is_zero
+
+    def __str__(self):
+        return format_terms(zip(self.ATOMS, self.coords()))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(map(repr, self.coords()))})"

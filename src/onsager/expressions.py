@@ -28,7 +28,10 @@ from . import core, loop, tetra
 from .polynomials import (
     LaurentPoly,
     ONE_MINUS_T,
+    T,
+    TP_T_DPRIME,
     ThreePointFraction,
+    exact_div,
     multiplicity_at,
     poly_divmod,
 )
@@ -211,10 +214,10 @@ def _atom_value(name: str, pos: int):
             raise ParseError(f"primes are only meaningful on t: {name!r}", pos)
         if primes == 1:
             return LaurentPoly({0: 1, -1: -1})
-        return ThreePointFraction(LaurentPoly.one(), 0, 1)
+        return TP_T_DPRIME
     if index is None:
         if letter == "t":
-            return LaurentPoly({1: 1})
+            return T
         if letter == "i":
             return I
         if letter == "e":
@@ -307,16 +310,12 @@ def _eval(ast):
     if kind == "add":
         return _add(left, right)
     if kind == "sub":
-        return _add(left, _negate(right))
+        return _add(left, -right)
     if kind == "mul":
         return _multiply(left, right)
     if kind == "div":
         return _divide(left, right)
     raise AssertionError(f"unknown node {kind}")
-
-
-def _negate(v):
-    return -v
 
 
 def _is_coeff(v) -> bool:
@@ -329,26 +328,7 @@ def _add(a, b):
         if type(a) is not type(b):
             raise ExpressionError("cannot add an algebra element and a coefficient")
         return a + b
-    return _demote(_coeff_op(a, b, "add"))
-
-
-def _coeff_op(a, b, kind):
-    if isinstance(a, ThreePointFraction) or isinstance(b, ThreePointFraction):
-        a = a if isinstance(a, ThreePointFraction) else ThreePointFraction(_to_laurent(a))
-        b = b if isinstance(b, ThreePointFraction) else ThreePointFraction(_to_laurent(b))
-        return a + b if kind == "add" else a * b
-    if isinstance(a, LaurentPoly) or isinstance(b, LaurentPoly):
-        a, b = _to_laurent(a), _to_laurent(b)
-        return a + b if kind == "add" else a * b
-    return a + b if kind == "add" else a * b
-
-
-def _to_laurent(v) -> LaurentPoly:
-    if isinstance(v, LaurentPoly):
-        return v
-    if is_scalar(v):
-        return LaurentPoly.term(v)
-    raise ExpressionError("expected a polynomial-valued subexpression")
+    return _demote(a + b)
 
 
 def _multiply(a, b):
@@ -364,7 +344,7 @@ def _multiply(a, b):
         if isinstance(element, loop.LoopElement) and isinstance(coeff, ThreePointFraction):
             coeff = coeff.to_laurent()
         return coeff * element
-    return _demote(_coeff_op(a, b, "mul"))
+    return _demote(a * b)
 
 
 def _divide(a, b):
@@ -380,8 +360,8 @@ def _divide(a, b):
         if b == 0:
             raise ExpressionError("division by zero")
         return a / b
-    ta = a if isinstance(a, ThreePointFraction) else ThreePointFraction(_to_laurent(a))
-    tb = b if isinstance(b, ThreePointFraction) else ThreePointFraction(_to_laurent(b))
+    ta = a if isinstance(a, ThreePointFraction) else ThreePointFraction(a)
+    tb = b if isinstance(b, ThreePointFraction) else ThreePointFraction(b)
     if tb.is_zero:
         raise ExpressionError("division by zero")
     num = tb.num
@@ -389,8 +369,7 @@ def _divide(a, b):
     unit_core = num.shift(-shift)
     ones = multiplicity_at(unit_core, 1)
     for _ in range(ones):
-        unit_core, rem = poly_divmod(unit_core, ONE_MINUS_T)
-        assert rem.is_zero
+        unit_core = exact_div(unit_core, ONE_MINUS_T)
     # tb = unit_core * t^shift * (1-t)^ones / (t^tb.a (1-t)^tb.b)
     num_extra_t = max(0, tb.a - shift)
     num_extra_one = max(0, tb.b - ones)
@@ -475,11 +454,11 @@ def parse_polynomial(text: str) -> LaurentPoly:
     """Evaluate to a plain polynomial in k[t] (used by the ideal commands)."""
     value = parse_value(text)
     if is_scalar(value):
-        if isinstance(value, GaussianRational):
-            raise ExpressionError("polynomial coefficients must be rational")
         value = LaurentPoly.term(value)
     if not isinstance(value, LaurentPoly):
         raise ExpressionError("expected a polynomial expression")
+    if any(isinstance(c, GaussianRational) for _, c in value.items()):
+        raise ExpressionError("polynomial coefficients must be rational")
     if not value.is_polynomial:
         raise ExpressionError("negative exponents are not allowed in this polynomial")
     return value

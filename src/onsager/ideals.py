@@ -17,22 +17,21 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .loop import LoopElement, is_fixed, require_fixed
+from .loop import LoopElement, require_fixed
 from .polynomials import (
+    T_MINUS_ONE,
     LaurentPoly,
     crt_solve,
+    exact_div,
     format_laurent,
     laurent_divisible,
     monic,
     multiplicity_at,
-    poly_divmod,
-    poly_gcd,
     poly_lcm,
     reciprocal_sign,
     require_polynomial,
 )
 
-T_MINUS_ONE = LaurentPoly({1: 1, 0: -1})
 T_PLUS_ONE = LaurentPoly({1: 1, 0: 1})
 
 
@@ -56,8 +55,7 @@ class ReciprocalIdeal:
         star = poly
         for factor, count in ((T_MINUS_ONE, self.mult_one), (T_PLUS_ONE, self.mult_minus_one)):
             for _ in range(count):
-                star, rem = poly_divmod(star, factor)
-                assert rem.is_zero
+                star = exact_div(star, factor)
         self.star = star
         self.tilde = (
             T_MINUS_ONE ** (2 * (self.mult_one // 2))
@@ -136,14 +134,8 @@ def crt_lift(targets: list[tuple[LoopElement, ReciprocalIdeal]]) -> LoopElement:
         raise ValueError("no targets given")
     for x, _ in targets:
         require_fixed(x)
+    # crt_solve rejects generators that are not pairwise coprime.
     moduli = [ideal.poly for _, ideal in targets]
-    for i in range(len(moduli)):
-        for j in range(i + 1, len(moduli)):
-            g = poly_gcd(moduli[i], moduli[j])
-            if not (g == LaurentPoly.one()):
-                raise ValueError(
-                    f"ideal generators are not coprime: common factor {format_laurent(g)}"
-                )
     clear = 0
     for x, _ in targets:
         for comp in (x.p, x.r):
@@ -156,6 +148,4 @@ def crt_lift(targets: list[tuple[LoopElement, ReciprocalIdeal]]) -> LoopElement:
     p = p_tilde.shift(-clear)
     half = Fraction(1, 2)
     r = half * (r_tilde.shift(-clear) - r_tilde.subs_inverse().shift(clear))
-    lifted = LoopElement(p, p.subs_inverse(), r)
-    assert is_fixed(lifted)
-    return lifted
+    return require_fixed(LoopElement(p, p.subs_inverse(), r))

@@ -86,10 +86,6 @@ def subspace_equal(rows_a, rows_b) -> bool:
     return rank(combined) == ra if combined else True
 
 
-def subspace_contains(rows_big, rows_small) -> bool:
-    return all(in_row_space(rows_big, v) for v in rows_small)
-
-
 def solve(rows, rhs):
     """One exact solution x of A x = rhs, or None when inconsistent."""
     if not rows:

@@ -20,71 +20,31 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import OnsagerElement
-from .polynomials import LaurentPoly, antisym_part, format_laurent
+from .core import CoordinateTriple, OnsagerElement
+from .polynomials import LaurentPoly, antisym_part
 from .scalars import I, is_scalar
 
 
-class LoopElement:
+class LoopElement(CoordinateTriple):
     """p(t)e + q(t)f + r(t)h with exact Laurent polynomial components."""
 
     __slots__ = ("p", "q", "r")
+    ATOMS = ("e", "f", "h")
+    FACTORS = (LaurentPoly,)
 
     def __init__(self, p=None, q=None, r=None):
-        self.p = _as_poly(p)
-        self.q = _as_poly(q)
-        self.r = _as_poly(r)
+        super().__init__(p, q, r)
 
-    @property
-    def is_zero(self) -> bool:
-        return self.p.is_zero and self.q.is_zero and self.r.is_zero
-
-    def __add__(self, other):
-        if not isinstance(other, LoopElement):
-            return NotImplemented
-        return LoopElement(self.p + other.p, self.q + other.q, self.r + other.r)
-
-    def __sub__(self, other):
-        if not isinstance(other, LoopElement):
-            return NotImplemented
-        return LoopElement(self.p - other.p, self.q - other.q, self.r - other.r)
-
-    def __neg__(self):
-        return LoopElement(-self.p, -self.q, -self.r)
-
-    def __rmul__(self, factor):
-        if is_scalar(factor) or isinstance(factor, LaurentPoly):
-            return LoopElement(factor * self.p, factor * self.q, factor * self.r)
-        return NotImplemented
-
-    __mul__ = __rmul__
-
-    def __eq__(self, other):
-        if not isinstance(other, LoopElement):
-            return NotImplemented
-        return self.p == other.p and self.q == other.q and self.r == other.r
-
-    def __bool__(self):
-        return not self.is_zero
+    @staticmethod
+    def _coerce(value, atom) -> LaurentPoly:
+        if isinstance(value, LaurentPoly):
+            return value
+        if is_scalar(value):
+            return LaurentPoly.term(value)
+        raise TypeError(f"not a polynomial component: {value!r}")
 
     def bracket(self, other: "LoopElement") -> "LoopElement":
         return loop_bracket(self, other)
-
-    def __str__(self):
-        return format_loop(self)
-
-    def __repr__(self):
-        return f"LoopElement({self.p!r}, {self.q!r}, {self.r!r})"
-
-
-def _as_poly(value) -> LaurentPoly:
-    if value is None:
-        return LaurentPoly.zero()
-    if isinstance(value, LaurentPoly):
-        return value
-    if is_scalar(value):
-        return LaurentPoly.term(value)
-    raise TypeError(f"not a polynomial component: {value!r}")
 
 
 ZERO = LoopElement()
@@ -184,43 +144,3 @@ def from_loop(x: LoopElement) -> OnsagerElement:
     r_plus = antisym_part(x.r)
     g_terms = {l: 2 * c for l, c in r_plus.items()}
     return OnsagerElement(a_terms, g_terms)
-
-
-def format_loop(x: LoopElement) -> str:
-    """Canonical text: polynomial coefficients against the atoms e, f, h."""
-    if x.is_zero:
-        return "0"
-    parts = []
-    for atom, poly in (("e", x.p), ("f", x.q), ("h", x.r)):
-        if not poly.is_zero:
-            parts.append((atom, poly))
-    chunks = []
-    for atom, poly in parts:
-        body, negative = _format_coeff_atom(poly, atom)
-        if not chunks:
-            chunks.append(f"-{body}" if negative else body)
-        else:
-            chunks.append(f"- {body}" if negative else f"+ {body}")
-    return " ".join(chunks)
-
-
-def _format_coeff_atom(poly: LaurentPoly, atom: str):
-    """Render poly*atom; returns (text_without_sign, leading_minus)."""
-    from .scalars import GaussianRational
-
-    terms = list(poly.items())
-    if len(terms) == 1:
-        ((e, c),) = terms
-        if isinstance(c, GaussianRational):
-            from .scalars import format_scalar
-
-            prefix = f"({format_scalar(c)})"
-            negative = False
-        else:
-            negative = c < 0
-            mag = -c if negative else c
-            prefix = None if mag == 1 else str(mag)
-        t_txt = None if e == 0 else ("t" if e == 1 else f"t^{e}")
-        pieces = [txt for txt in (prefix, t_txt, atom) if txt is not None]
-        return "*".join(pieces), negative
-    return f"({format_laurent(poly)})*{atom}", False

@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .scalars import Scalar, as_scalar, is_scalar
+from .scalars import GaussianRational, Scalar, as_scalar, format_scalar, is_scalar
 
 
 class LaurentPoly:
@@ -205,35 +205,58 @@ def _as_laurent(value):
 _ZERO = LaurentPoly()
 _ONE = LaurentPoly({0: 1})
 T = LaurentPoly({1: 1})
+T_MINUS_ONE = LaurentPoly({1: 1, 0: -1})
 ONE_MINUS_T = LaurentPoly({0: 1, 1: -1})
+
+
+def format_terms(terms) -> str:
+    """Canonical signed-term text for (atom, coefficient) pairs.
+
+    A coefficient is a scalar, a LaurentPoly or a ThreePointFraction.  Zero
+    coefficients are skipped and an empty sum prints as '0'.  A monomial
+    coefficient prints inline as 'c*t^e*atom' (a Gaussian c parenthesized),
+    any other coefficient as '(coefficient)*atom'.  The empty atom stands
+    for the unit, which is how format_laurent prints its own terms.
+    """
+    chunks = []
+    for atom, coeff in terms:
+        if not coeff:
+            continue
+        body, negative = _format_term(atom, coeff)
+        if chunks:
+            chunks.append(f"- {body}" if negative else f"+ {body}")
+        else:
+            chunks.append(f"-{body}" if negative else body)
+    return " ".join(chunks) or "0"
+
+
+def _format_term(atom: str, coeff) -> tuple[str, bool]:
+    """Render coeff*atom; returns (text_without_sign, leading_minus)."""
+    if isinstance(coeff, ThreePointFraction):
+        if coeff.b:
+            return f"({format_fraction(coeff)})*{atom}", False
+        coeff = coeff.to_laurent()
+    if isinstance(coeff, LaurentPoly):
+        if len(coeff._terms) > 1:
+            return f"({format_laurent(coeff)})*{atom}", False
+        ((e, coeff),) = coeff._terms.items()
+        atom = "*".join(filter(None, (_t_power(e), atom)))
+    if isinstance(coeff, GaussianRational):
+        prefix, negative = f"({format_scalar(coeff)})", False
+    else:
+        negative = coeff < 0
+        mag = -coeff if negative else coeff
+        prefix = None if mag == 1 else str(mag)
+    return "*".join(filter(None, (prefix, atom))) or "1", negative
+
+
+def _t_power(e: int) -> str:
+    return "" if e == 0 else "t" if e == 1 else f"t^{e}"
 
 
 def format_laurent(p: LaurentPoly) -> str:
     """Canonical text: terms in descending exponent, 'c*t^e' pieces."""
-    if p.is_zero:
-        return "0"
-    from .scalars import GaussianRational, format_scalar
-
-    parts = []
-    for e in sorted(p._terms, reverse=True):
-        c = p._terms[e]
-        if isinstance(c, GaussianRational):
-            coeff_txt = f"({format_scalar(c)})"
-            negative = False
-        else:
-            negative = c < 0
-            c_abs = -c if negative else c
-            coeff_txt = None if c_abs == 1 and e != 0 else str(c_abs)
-        if e == 0:
-            body = coeff_txt if coeff_txt is not None else "1"
-        else:
-            t_txt = "t" if e == 1 else f"t^{e}"
-            body = t_txt if coeff_txt is None else f"{coeff_txt}*{t_txt}"
-        if not parts:
-            parts.append(f"-{body}" if negative else body)
-        else:
-            parts.append(f"- {body}" if negative else f"+ {body}")
-    return " ".join(parts)
+    return format_terms((_t_power(e), p._terms[e]) for e in sorted(p._terms, reverse=True))
 
 
 def require_polynomial(p: LaurentPoly, what: str = "polynomial") -> LaurentPoly:
@@ -244,11 +267,6 @@ def require_polynomial(p: LaurentPoly, what: str = "polynomial") -> LaurentPoly:
     if not p.is_polynomial:
         raise ValueError(f"{what}: negative exponents are not allowed here")
     return p
-
-
-def substitute_inverse(p: LaurentPoly) -> LaurentPoly:
-    """The exponent-negating substitution t -> t^-1."""
-    return p.subs_inverse()
 
 
 def poly_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
@@ -271,6 +289,14 @@ def poly_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPol
 
 def poly_mod(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     return poly_divmod(a, b)[1]
+
+
+def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """The quotient a / b in k[t] where b divides a; a remainder raises."""
+    q, r = poly_divmod(a, b)
+    if not r.is_zero:
+        raise ArithmeticError(f"{format_laurent(b)} does not divide {format_laurent(a)}")
+    return q
 
 
 def monic(p: LaurentPoly) -> LaurentPoly:
@@ -297,10 +323,7 @@ def poly_lcm(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """Monic lcm in k[t]: gcd * lcm equals the monic normalization of a*b."""
     if a.is_zero or b.is_zero:
         raise ValueError("lcm with a zero polynomial is undefined")
-    g = poly_gcd(a, b)
-    q, r = poly_divmod(a * b, g)
-    assert r.is_zero
-    return monic(q)
+    return monic(exact_div(a * b, poly_gcd(a, b)))
 
 
 def poly_xgcd(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
@@ -360,8 +383,7 @@ def multiplicity_at(p: LaurentPoly, c) -> int:
     factor = LaurentPoly({1: 1, 0: -as_scalar(c)})
     count = 0
     while p.evaluate(c) == 0:
-        p, rem = poly_divmod(p, factor)
-        assert rem.is_zero
+        p = exact_div(p, factor)
         count += 1
     return count
 
@@ -438,24 +460,15 @@ class ThreePointFraction:
                 num = num.shift(-1)
                 a -= 1
             while b > 0 and num.evaluate(1) == 0:
-                num, rem = poly_divmod(num, ONE_MINUS_T)
-                assert rem.is_zero
+                num = exact_div(num, ONE_MINUS_T)
                 b -= 1
         self.num = num
         self.a = a
         self.b = b
 
-    @classmethod
-    def from_laurent(cls, p: LaurentPoly) -> "ThreePointFraction":
-        return cls(p, 0, 0)
-
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
-
-    @property
-    def is_laurent(self) -> bool:
-        return self.b == 0
 
     def to_laurent(self) -> LaurentPoly:
         if self.b != 0:
@@ -529,31 +542,7 @@ def _as_fraction(value):
     p = _as_laurent(value)
     if p is NotImplemented:
         return NotImplemented
-    return ThreePointFraction.from_laurent(p)
-
-
-def format_coeff_atom(poly: LaurentPoly, atom: str) -> tuple[str, bool]:
-    """Render poly*atom for linear-combination printers.
-
-    Returns (text_without_sign, leading_minus); multi-term coefficients are
-    parenthesized, single monomials inline as 'c*t^e*atom' pieces.
-    """
-    from .scalars import GaussianRational, format_scalar
-
-    terms = list(poly.items())
-    if len(terms) == 1:
-        ((e, c),) = terms
-        if isinstance(c, GaussianRational):
-            prefix = f"({format_scalar(c)})"
-            negative = False
-        else:
-            negative = c < 0
-            mag = -c if negative else c
-            prefix = None if mag == 1 else str(mag)
-        t_txt = None if e == 0 else ("t" if e == 1 else f"t^{e}")
-        pieces = [txt for txt in (prefix, t_txt, atom) if txt is not None]
-        return "*".join(pieces), negative
-    return f"({format_laurent(poly)})*{atom}", False
+    return ThreePointFraction(p)
 
 
 def format_fraction(f: ThreePointFraction) -> str:
@@ -561,22 +550,12 @@ def format_fraction(f: ThreePointFraction) -> str:
         return format_laurent(f.num.shift(-f.a))
     pieces = []
     if f.a:
-        pieces.append("t" if f.a == 1 else f"t^{f.a}")
+        pieces.append(_t_power(f.a))
     pieces.append("(1-t)" if f.b == 1 else f"(1-t)^{f.b}")
     # A single piece binds tighter than '/' already ('^' outranks '/').
     den = pieces[0] if len(pieces) == 1 else "(" + "*".join(pieces) + ")"
     return f"({format_laurent(f.num)})/{den}"
 
 
-def three_point_arith(a: ThreePointFraction, b: ThreePointFraction, kind: str) -> ThreePointFraction:
-    """Ring arithmetic on three-point fractions; kind is add or mul."""
-    if kind == "add":
-        return a + b
-    if kind == "mul":
-        return a * b
-    raise ValueError(f"unknown arithmetic kind: {kind!r}")
-
-
-TP_T = ThreePointFraction.from_laurent(T)
-TP_T_PRIME = ThreePointFraction.from_laurent(LaurentPoly({0: 1, -1: -1}))
+TP_T_PRIME = ThreePointFraction(LaurentPoly({0: 1, -1: -1}))
 TP_T_DPRIME = ThreePointFraction(_ONE, 0, 1)

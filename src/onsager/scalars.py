@@ -148,22 +148,6 @@ def is_scalar(value) -> bool:
     return isinstance(value, (int, Fraction, GaussianRational))
 
 
-def arith(a: Scalar, b: Scalar, kind: str) -> Scalar:
-    """Exact field arithmetic; kind is one of add/sub/mul/div."""
-    a, b = as_scalar(a), as_scalar(b)
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    if kind == "div":
-        if b == 0:
-            raise ZeroDivisionError("scalar division by zero")
-        return a / b
-    raise ValueError(f"unknown arithmetic kind: {kind!r}")
-
-
 _RAT = r"-?\d+(?:\s*/\s*\d+)?"
 _IMAG_RE = re.compile(
     rf"^\s*(?:(?P<re>{_RAT})\s*(?P<sign>[+-])\s*)?(?P<coef>-|{_RAT}\s*\*\s*)?i\s*$"

@@ -24,79 +24,36 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .core import OnsagerElement
+from .core import CoordinateTriple, OnsagerElement
 from .linalg import solve
 from .polynomials import (
+    T,
+    T_MINUS_ONE,
     LaurentPoly,
     ThreePointFraction,
     require_polynomial,
 )
-from .scalars import is_scalar
 
-T = LaurentPoly({1: 1})
-T_MINUS_ONE = LaurentPoly({1: 1, 0: -1})
 QUARTER = Fraction(1, 4)
 HALF = Fraction(1, 2)
 
 
-class ThreePointElement:
+class ThreePointElement(CoordinateTriple):
     """cx*x + cy*y + cz*z with three-point fraction coordinates."""
 
     __slots__ = ("cx", "cy", "cz")
+    ATOMS = ("x", "y", "z")
+    FACTORS = (LaurentPoly, ThreePointFraction)
 
     def __init__(self, cx=None, cy=None, cz=None):
-        self.cx = _as_fraction(cx)
-        self.cy = _as_fraction(cy)
-        self.cz = _as_fraction(cz)
+        super().__init__(cx, cy, cz)
 
-    @property
-    def is_zero(self) -> bool:
-        return self.cx.is_zero and self.cy.is_zero and self.cz.is_zero
-
-    def __add__(self, other):
-        if not isinstance(other, ThreePointElement):
-            return NotImplemented
-        return ThreePointElement(self.cx + other.cx, self.cy + other.cy, self.cz + other.cz)
-
-    def __sub__(self, other):
-        if not isinstance(other, ThreePointElement):
-            return NotImplemented
-        return ThreePointElement(self.cx - other.cx, self.cy - other.cy, self.cz - other.cz)
-
-    def __neg__(self):
-        return ThreePointElement(-self.cx, -self.cy, -self.cz)
-
-    def __rmul__(self, factor):
-        if is_scalar(factor) or isinstance(factor, (LaurentPoly, ThreePointFraction)):
-            return ThreePointElement(factor * self.cx, factor * self.cy, factor * self.cz)
-        return NotImplemented
-
-    __mul__ = __rmul__
-
-    def __eq__(self, other):
-        if not isinstance(other, ThreePointElement):
-            return NotImplemented
-        return self.cx == other.cx and self.cy == other.cy and self.cz == other.cz
-
-    def __bool__(self):
-        return not self.is_zero
+    @staticmethod
+    def _coerce(value, atom) -> ThreePointFraction:
+        return value if isinstance(value, ThreePointFraction) else ThreePointFraction(value)
 
     def bracket(self, other: "ThreePointElement") -> "ThreePointElement":
         return tp_bracket(self, other)
-
-    def __str__(self):
-        return format_tetra(self)
-
-    def __repr__(self):
-        return f"ThreePointElement({self.cx!r}, {self.cy!r}, {self.cz!r})"
-
-
-def _as_fraction(value) -> ThreePointFraction:
-    if value is None:
-        return ThreePointFraction(LaurentPoly.zero())
-    if isinstance(value, ThreePointFraction):
-        return value
-    return ThreePointFraction(value) if isinstance(value, LaurentPoly) else ThreePointFraction(LaurentPoly.term(value))
 
 
 TP_ZERO = ThreePointElement()
@@ -161,69 +118,22 @@ def v_elements() -> tuple[ThreePointElement, ThreePointElement, ThreePointElemen
     return T_MINUS_ONE * u0, u1, T * u2
 
 
-class VElement:
+class VElement(CoordinateTriple):
     """Coordinates (q0, q1, q2) over k[t] in the basis v_0, v_1, v_2."""
 
     __slots__ = ("q0", "q1", "q2")
+    ATOMS = ("v_0", "v_1", "v_2")
+    FACTORS = (LaurentPoly,)
 
     def __init__(self, q0=None, q1=None, q2=None):
-        self.q0 = _as_poly_coord(q0, "v_0")
-        self.q1 = _as_poly_coord(q1, "v_1")
-        self.q2 = _as_poly_coord(q2, "v_2")
+        super().__init__(q0, q1, q2)
 
-    @property
-    def is_zero(self) -> bool:
-        return self.q0.is_zero and self.q1.is_zero and self.q2.is_zero
-
-    def coords(self) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
-        return self.q0, self.q1, self.q2
-
-    def __add__(self, other):
-        if not isinstance(other, VElement):
-            return NotImplemented
-        return VElement(self.q0 + other.q0, self.q1 + other.q1, self.q2 + other.q2)
-
-    def __sub__(self, other):
-        if not isinstance(other, VElement):
-            return NotImplemented
-        return VElement(self.q0 - other.q0, self.q1 - other.q1, self.q2 - other.q2)
-
-    def __neg__(self):
-        return VElement(-self.q0, -self.q1, -self.q2)
-
-    def __rmul__(self, factor):
-        if is_scalar(factor) or isinstance(factor, LaurentPoly):
-            return VElement(factor * self.q0, factor * self.q1, factor * self.q2)
-        return NotImplemented
-
-    __mul__ = __rmul__
-
-    def __eq__(self, other):
-        if not isinstance(other, VElement):
-            return NotImplemented
-        return self.q0 == other.q0 and self.q1 == other.q1 and self.q2 == other.q2
-
-    def __bool__(self):
-        return not self.is_zero
+    @staticmethod
+    def _coerce(value, atom) -> LaurentPoly:
+        return require_polynomial(value, f"{atom} coordinate")
 
     def bracket(self, other: "VElement") -> "VElement":
         return v_bracket(self, other)
-
-    def __str__(self):
-        return format_v(self)
-
-    def __repr__(self):
-        return f"VElement({self.q0!r}, {self.q1!r}, {self.q2!r})"
-
-
-def _as_poly_coord(value, which: str) -> LaurentPoly:
-    if value is None:
-        return LaurentPoly.zero()
-    if is_scalar(value):
-        value = LaurentPoly.term(value)
-    if not isinstance(value, LaurentPoly):
-        raise TypeError(f"{which} coordinate must be a polynomial")
-    return require_polynomial(value, f"{which} coordinate")
 
 
 V_ZERO = VElement()
@@ -353,7 +263,8 @@ def phi_inverse(v: VElement) -> OnsagerElement:
         for w, cand in zip(weights, g_candidates):
             if w != 0:
                 result = result + w * cand
-    assert phi_v(result) == v
+    if phi_v(result) != v:
+        raise ValueError("v-element is not in the image of the embedding (round trip failed)")
     return result
 
 
@@ -473,45 +384,3 @@ def independence_witness(max_m: int) -> IndependenceWitness:
             current = v_bracket(v0, current)
     seen = {(e.lane, e.degree) for e in entries}
     return IndependenceWitness(tuple(entries), len(seen) == len(entries))
-
-
-def format_tetra(e: ThreePointElement) -> str:
-    """Canonical text on the atoms x, y, z with three-point coefficients."""
-    if e.is_zero:
-        return "0"
-    chunks = []
-    for atom, coeff in (("x", e.cx), ("y", e.cy), ("z", e.cz)):
-        if coeff.is_zero:
-            continue
-        body, negative = _format_tp_coeff_atom(coeff, atom)
-        if not chunks:
-            chunks.append(f"-{body}" if negative else body)
-        else:
-            chunks.append(f"- {body}" if negative else f"+ {body}")
-    return " ".join(chunks)
-
-
-def _format_tp_coeff_atom(coeff: ThreePointFraction, atom: str):
-    from .loop import _format_coeff_atom
-
-    if coeff.b == 0:
-        return _format_coeff_atom(coeff.to_laurent(), atom)
-    return f"({coeff})*{atom}", False
-
-
-def format_v(v: VElement) -> str:
-    """Canonical text on the atoms v_0, v_1, v_2 with k[t] coefficients."""
-    if v.is_zero:
-        return "0"
-    from .loop import _format_coeff_atom
-
-    chunks = []
-    for atom, poly in (("v_0", v.q0), ("v_1", v.q1), ("v_2", v.q2)):
-        if poly.is_zero:
-            continue
-        body, negative = _format_coeff_atom(poly, atom)
-        if not chunks:
-            chunks.append(f"-{body}" if negative else body)
-        else:
-            chunks.append(f"- {body}" if negative else f"+ {body}")
-    return " ".join(chunks)

@@ -17,21 +17,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .linalg import in_row_space, nullspace, rref, subspace_equal
-from .polynomials import LaurentPoly, monic, poly_divmod, poly_gcd, require_polynomial
+from .polynomials import T, T_MINUS_ONE, LaurentPoly, monic, poly_divmod, poly_gcd, require_polynomial
 from .scalars import Scalar, as_scalar
 from .tetra import VElement, v_bracket
 
 RESIDUAL_BASIS = ("w_0*t", "w_1*t", "w_2*t", "w_0*(t-1)", "w_1*(t-1)", "w_2*(t-1)")
 
-_T = LaurentPoly({1: 1})
-_T_MINUS_ONE = LaurentPoly({1: 1, 0: -1})
-
 
 def _basis_rep(index: int) -> VElement:
     """Canonical representative of the residual basis vector (q = 1)."""
-    factor = _T if index < 3 else _T_MINUS_ONE
+    factor = T if index < 3 else T_MINUS_ONE
     coords = [LaurentPoly.zero()] * 3
     coords[index % 3] = factor
     return VElement(*coords)
@@ -56,26 +54,6 @@ def residual_of(v: VElement, q: LaurentPoly):
         out[i] = quotient.evaluate(1)
         out[3 + i] = -quotient.evaluate(0)
     return out
-
-
-def _action_matrices():
-    """The six residual-space actions ad of v_i*t and v_i*(t-1), as matrices."""
-    one = LaurentPoly.one()
-    matrices = []
-    for a_idx in range(6):
-        rep_a = _basis_rep(a_idx)
-        columns = []
-        for s_idx in range(6):
-            image = v_bracket(rep_a, _basis_rep(s_idx))
-            res = residual_of(image, one)
-            assert res is not None
-            columns.append(res)
-        matrix = [[columns[c][r] for c in range(6)] for r in range(6)]
-        matrices.append(matrix)
-    return matrices
-
-
-_ACTIONS = _action_matrices()
 
 
 @dataclass(frozen=True)
@@ -155,18 +133,15 @@ class IdealSpec:
 
 def z_closure_subspace(rows):
     """All residual vectors whose six basis-actions land inside span(rows)."""
-    annihilators = nullspace([list(r) for r in rows]) if rows else [
-        [Fraction(1) if i == j else Fraction(0) for j in range(6)] for i in range(6)
-    ]
+    annihilators = nullspace([list(r) for r in rows]) if rows else _full_space()
     constraints = []
-    for matrix in _ACTIONS:
+    # Row a of B's table lists the images [B_a, B_c] by c: the columns of
+    # the action of B_a, so func . (ad(B_a) s) = 0 is a linear condition on s.
+    for images in quotient_b().table:
         for func in annihilators:
-            # func . (M s) = 0 as a linear condition on s
-            constraints.append([
-                sum(func[r] * matrix[r][c] for r in range(6)) for c in range(6)
-            ])
+            constraints.append([sum(f * x for f, x in zip(func, image)) for image in images])
     if not constraints:
-        return [[Fraction(1) if i == j else Fraction(0) for j in range(6)] for i in range(6)]
+        return _full_space()
     return nullspace(constraints)
 
 
@@ -245,15 +220,16 @@ class QuotientB:
         return out
 
 
+@lru_cache(maxsize=1)
 def quotient_b() -> QuotientB:
+    """The structure constants of B, computed once per process."""
     one = LaurentPoly.one()
     table = []
     for j in range(6):
         row = []
         for k in range(6):
-            res = residual_of(v_bracket(_basis_rep(j), _basis_rep(k)), one)
-            assert res is not None
-            row.append(tuple(res))
+            # q = 1 divides every coordinate, so the residual always exists.
+            row.append(tuple(residual_of(v_bracket(_basis_rep(j), _basis_rep(k)), one)))
         table.append(tuple(row))
     return QuotientB(tuple(table))
 
@@ -319,22 +295,26 @@ class ClassificationRecord:
 
 
 def classify_ideals(q: LaurentPoly) -> list[ClassificationRecord]:
-    """One record per enumerated spec: closedness plus the Z-closure delta."""
-    specs, family = enumerate_ideals(q)
-    records = []
-    for spec in specs:
-        records.append(_record_for(spec))
+    """One record per enumerated spec: closedness plus the Z-closure delta.
+
+    Neither depends on q, since the Z-closure uses only the structure
+    constants of B, so the rows are computed once per process and q is
+    stamped into each record.
+    """
+    q = monic(require_polynomial(q, "ideal generator"))
+    return [ClassificationRecord(q, *row) for row in _classification_rows()]
+
+
+@lru_cache(maxsize=1)
+def _classification_rows() -> tuple:
+    specs, family = enumerate_ideals(LaurentPoly.one())
     # The eta family is classified once with a symbolic marker; any concrete
     # nonzero parameter produces the same closure delta.
-    sample = family.at(Fraction(1))
-    rec = _record_for(sample)
-    records.append(
-        ClassificationRecord(rec.q, "eta", "eta=<nonzero>", rec.closed, rec.z_delta)
-    )
-    return records
+    _, _, closed, delta = _row_for(family.at(Fraction(1)))
+    return tuple(_row_for(spec) for spec in specs) + (("eta", "eta=<nonzero>", closed, delta),)
 
 
-def _record_for(spec: IdealSpec) -> ClassificationRecord:
+def _row_for(spec: IdealSpec) -> tuple:
     rows = spec.subspace_rows()
     closure = spec.z_closure_rows()
     delta = tuple(
@@ -343,4 +323,4 @@ def _record_for(spec: IdealSpec) -> ClassificationRecord:
         if in_row_space(closure, [Fraction(x) for x in vec])
         and not in_row_space(rows, [Fraction(x) for x in vec])
     )
-    return ClassificationRecord(spec.q, spec.kind, spec.describe(), spec.is_closed(), delta)
+    return spec.kind, spec.describe(), spec.is_closed(), delta

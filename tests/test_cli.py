@@ -163,3 +163,26 @@ def test_console_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout == "-A_-1 + A_1\n"
+
+
+def test_polynomial_arguments_reject_gaussian_coefficients(capsys):
+    for argv in (
+        ("ideal", "closed", "--p", "t^2+i*t+1"),
+        ("ideal", "contains", "--p", "t-i", "b_0"),
+        ("ideal", "classify", "--q", "t+i"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == "error: polynomial coefficients must be rational\n", argv
+
+
+def test_recursion_limit_reports_error_without_traceback():
+    # The recursive embedding runs out of stack near |m| = 1000.
+    result = subprocess.run(
+        [sys.executable, "-m", "onsager.cli", "convert", "--to", "v", "A_1200"],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.stderr

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onsager.linalg import in_row_space, rank, subspace_equal
 from onsager.polynomials import LaurentPoly, monic, poly_gcd
@@ -319,3 +321,25 @@ def test_classify_records():
     for rec in records:
         if rec.closed:
             assert rec.z_delta == ()
+
+
+monic_polys = st.lists(st.integers(-5, 5), max_size=6).map(
+    lambda low: LaurentPoly({**dict(enumerate(low)), len(low): 1})
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(monic_polys, monic_polys)
+def test_classify_rows_do_not_depend_on_q(q1, q2):
+    rec1, rec2 = classify_ideals(q1), classify_ideals(q2)
+    assert [(r.kind, r.descriptor, r.closed, r.z_delta) for r in rec1] == [
+        (r.kind, r.descriptor, r.closed, r.z_delta) for r in rec2
+    ]
+    assert all(r.q == q1 for r in rec1) and all(r.q == q2 for r in rec2)
+
+
+def test_classify_matches_specs_for_nontrivial_q():
+    specs, _ = enumerate_ideals(TSQ)
+    records = classify_ideals(TSQ)
+    assert [r.descriptor for r in records[:16]] == [s.describe() for s in specs]
+    assert [r.closed for r in records[:16]] == [s.is_closed() for s in specs]

@@ -217,12 +217,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_ideal_contains(args) -> int:
     poly = monic(parse_polynomial(args.p))
-    element = parse_element(args.expr)
-    source = realization_of(element)
-    if source == "onsager":
-        element = loop.to_loop(element)
-    elif source == "tetra":
-        element = loop.to_loop(tetra.phi_inverse(tetra.to_v(element)))
+    element = _convert(parse_element(args.expr), "loop")
     if not loop.is_fixed(element):
         raise ExpressionError("membership is defined for fixed loop elements only")
     if reciprocal_sign(poly) is not None:
@@ -282,6 +277,12 @@ def _cmd_series_b(args) -> int:
     return 0
 
 
+def _window(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"window must be a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="onsager",
@@ -308,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a relation-verification suite")
     p.add_argument("suite", choices=["onsager", "loop", "tetra", "dg"])
-    p.add_argument("--window", type=int, default=None)
+    p.add_argument("--window", type=_window, default=None)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("ideal", help="divisibility-ideal queries")

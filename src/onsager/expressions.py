@@ -268,18 +268,17 @@ def realization_of(value) -> str | None:
 
 
 def _check_realizations(ast, found: set):
-    kind = ast[0]
-    if kind == "atom":
-        # t, t', t'' and i are coefficient atoms and fix no realization
-        letter = ast[1].rstrip("'").split("_")[0]
-        r = _ATOM_REALIZATION.get(letter) if letter not in ("t", "i") else None
-        if r is not None:
-            found.add(r)
-    elif kind in ("neg", "pow"):
-        _check_realizations(ast[1], found)
-    elif kind in ("add", "sub", "mul", "div", "bracket"):
-        _check_realizations(ast[1], found)
-        _check_realizations(ast[2], found)
+    stack = [ast]
+    while stack:
+        node = stack.pop()
+        if node[0] == "atom":
+            # t, t', t'' and i are coefficient atoms and fix no realization
+            letter = node[1].rstrip("'").split("_")[0]
+            r = _ATOM_REALIZATION.get(letter) if letter not in ("t", "i") else None
+            if r is not None:
+                found.add(r)
+        else:
+            stack += [child for child in node[1:] if isinstance(child, tuple)]
 
 
 def evaluate(ast):
@@ -306,11 +305,17 @@ def _eval(ast):
         if realization_of(left) is None or type(left) is not type(right):
             raise ExpressionError("bracket requires two elements of one realization")
         return left.bracket(right)
+    if kind in ("add", "sub"):
+        # A sum parses to a left-deep chain: fold it in a loop, not by recursion.
+        chain = []
+        while ast[0] in ("add", "sub"):
+            chain.append(ast)
+            ast = ast[1]
+        value = _eval(ast)
+        for op, _, right in reversed(chain):
+            value = _add(value, _eval(right) if op == "add" else -_eval(right))
+        return value
     left, right = _eval(ast[1]), _eval(ast[2])
-    if kind == "add":
-        return _add(left, right)
-    if kind == "sub":
-        return _add(left, -right)
     if kind == "mul":
         return _multiply(left, right)
     if kind == "div":

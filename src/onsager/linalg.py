@@ -84,19 +84,3 @@ def subspace_equal(rows_a, rows_b) -> bool:
         return False
     combined = [list(r) for r in rows_a] + [list(r) for r in rows_b]
     return rank(combined) == ra if combined else True
-
-
-def solve(rows, rhs):
-    """One exact solution x of A x = rhs, or None when inconsistent."""
-    if not rows:
-        return None
-    ncols = len(rows[0])
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    reduced, pivots = rref(aug)
-    for row, pivot in zip(reduced, pivots):
-        if pivot == ncols:
-            return None
-    x = [Fraction(0)] * ncols
-    for row, pivot in zip(reduced, pivots):
-        x[pivot] = row[-1]
-    return x

@@ -360,15 +360,13 @@ def crt_solve(residues: Iterable[LaurentPoly], moduli: Iterable[LaurentPoly]) ->
     for m in moduli:
         if m.is_zero:
             raise ValueError("zero modulus")
-    for i in range(len(moduli)):
-        for j in range(i + 1, len(moduli)):
-            g = poly_gcd(moduli[i], moduli[j])
-            if not (g == _ONE):
-                raise ValueError(f"moduli are not coprime: common factor {format_laurent(g)}")
     x = poly_mod(residues[0], moduli[0])
     m_all = moduli[0]
     for r, m in zip(residues[1:], moduli[1:]):
+        # gcd(m_1...m_{k-1}, m_k) = 1 at every step iff the moduli are pairwise coprime.
         g, s, u = poly_xgcd(m_all, m)
+        if g != _ONE:
+            raise ValueError(f"moduli are not coprime: common factor {format_laurent(g)}")
         # s*m_all + u*m = 1, so x + (r - x)*s*m_all is r mod m, x mod m_all
         x = poly_mod(x + (r - x) * s * m_all, m_all * m)
         m_all = m_all * m

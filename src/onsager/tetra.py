@@ -16,6 +16,15 @@ with the k[t]-bilinear bracket
     [v_0, v_1] = -v_2 (t-1),   [v_1, v_2] = -v_0,   [v_2, v_0] = v_1 t,
 
 so Onsager elements convert to and from coordinate triples over k[t].
+
+The basis images are closed forms in the Chebyshev polynomials T_n, U_n
+(Hartwig & Terwilliger, J. Algebra 308, 2007; Mason & Handscomb, Chebyshev
+Polynomials, 2003, ch. 1).  With k = m-1 and s = (-1)^k,
+
+    A_m, A_{1-m} -> 2s U_{2k}(sqrt t) v_1 +- 2s (T_{2k+1}(sqrt t)/sqrt t) v_2,
+    G_l          -> 4 U_{l-1}(1-2t) v_0,
+
+and both A-coordinates are even in sqrt t, hence polynomials in t.
 """
 
 from __future__ import annotations
@@ -24,8 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .core import CoordinateTriple, OnsagerElement
-from .linalg import solve
+from .core import ZERO, A, CoordinateTriple, G, OnsagerElement
 from .polynomials import (
     T,
     T_MINUS_ONE,
@@ -35,7 +43,6 @@ from .polynomials import (
 )
 
 QUARTER = Fraction(1, 4)
-HALF = Fraction(1, 2)
 
 
 class ThreePointElement(CoordinateTriple):
@@ -178,32 +185,34 @@ def to_v(element: ThreePointElement) -> VElement:
 # --- The Onsager embedding pinned to the edge pair (1,2), (0,3). ---
 
 
-@lru_cache(maxsize=None)
-def _phi_a(m: int) -> VElement:
-    if m == 0:
-        return VElement(None, 2, -2)
-    if m == 1:
-        return VElement(None, 2, 2)
-    g1 = _phi_g(1)
-    if m > 1:
-        return _phi_a(m - 2) + v_bracket(g1, _phi_a(m - 1))
-    return _phi_a(m + 2) - v_bracket(g1, _phi_a(m + 1))
+def _lane_images(k: int) -> tuple[list, list, list]:
+    """Ascending integer coefficients of G_{k+1} in v_0 and of A_{k+1} in v_1, v_2.
+
+    With b_i = (-4)^i C(k+i, 2i), the t^i coefficient of (-1)^k U_{2k}(sqrt t),
+    they are 4 (-4)^i C(k+1+i, 2i+1), 2 b_i and 2 b_i (2k+1)/(2i+1).
+    """
+    b = [1]
+    for i in range(k):  # C(k+i+1, 2i+2) / C(k+i, 2i) = (k+i+1)(k-i) / ((2i+1)(2i+2))
+        b.append(-4 * b[i] * (k + i + 1) * (k - i) // ((2 * i + 1) * (2 * i + 2)))
+    return (
+        [4 * x * (k + 1 + i) // (2 * i + 1) for i, x in enumerate(b)],
+        [2 * x for x in b],
+        [2 * x * (2 * k + 1) // (2 * i + 1) for i, x in enumerate(b)],
+    )
 
 
-@lru_cache(maxsize=None)
-def _phi_g(l: int) -> VElement:
-    if l < 1:
-        raise ValueError("G-index must be positive")
-    return HALF * v_bracket(_phi_a(l), _phi_a(0))
+def _poly(coeffs) -> LaurentPoly:
+    return LaurentPoly(dict(enumerate(coeffs)))
 
 
 def phi_v(x: OnsagerElement) -> VElement:
-    """The embedding into v-coordinates: linear extension over basis images."""
+    """The embedding into v-coordinates: linear extension of the closed forms."""
     out = V_ZERO
     for m, c in x.a_terms.items():
-        out = out + c * _phi_a(m)
+        _, v1, v2 = _lane_images(m - 1 if m >= 1 else -m)
+        out = out + c * VElement(None, _poly(v1), _poly(v2) if m >= 1 else -_poly(v2))
     for l, c in x.g_terms.items():
-        out = out + c * _phi_g(l)
+        out = out + c * VElement(_poly(_lane_images(l - 1)[0]))
     return out
 
 
@@ -213,56 +222,23 @@ def phi(x: OnsagerElement) -> ThreePointElement:
 
 
 def phi_inverse(v: VElement) -> OnsagerElement:
-    """Invert the embedding on the v-module.
+    """Invert the embedding on the v-module, one lane at a time.
 
-    The v_1/v_2 lanes are spanned by images of iterated ad_{G_1} applied to
-    A_0 + A_1 and A_0 - A_1 (one leading degree each), and the v_0 lane by
-    the G_l images, so two exact triangular solves recover the preimage.
+    In degree k the v_0, v_1 and v_2 lanes are spanned by the images of
+    G_{k+1}, A_{k+1} + A_{-k} and A_{k+1} - A_{-k}, each of degree exactly
+    k, so peeling leading terms from the top degree down finds the preimage.
     """
-    from .core import A, G, ZERO, bracket
-
     result = ZERO
-    deg12 = -1
-    for lane in (v.q1, v.q2):
-        if not lane.is_zero:
-            deg12 = max(deg12, lane.degree)
-    if deg12 >= 0:
-        plus = A(0) + A(1)
-        minus = A(0) - A(1)
-        g1 = G(1)
-        candidates = []
-        for _ in range(deg12 + 1):
-            candidates.append(plus)
-            candidates.append(minus)
-            plus = bracket(g1, plus)
-            minus = bracket(g1, minus)
-        columns = [phi_v(c) for c in candidates]
-        matrix = []
-        for d in range(deg12 + 1):
-            matrix.append([col.q1.coeff(d) for col in columns])
-        for d in range(deg12 + 1):
-            matrix.append([col.q2.coeff(d) for col in columns])
-        rhs = [v.q1.coeff(d) for d in range(deg12 + 1)] + [
-            v.q2.coeff(d) for d in range(deg12 + 1)
-        ]
-        weights = solve(matrix, rhs)
-        if weights is None:
-            raise ValueError("v-element is not in the image of the embedding")
-        for w, cand in zip(weights, candidates):
-            if w != 0:
-                result = result + w * cand
-    if not v.q0.is_zero:
-        deg0 = v.q0.degree
-        g_candidates = [G(l) for l in range(1, deg0 + 2)]
-        g_columns = [phi_v(c) for c in g_candidates]
-        matrix = [[col.q0.coeff(d) for col in g_columns] for d in range(deg0 + 1)]
-        rhs = [v.q0.coeff(d) for d in range(deg0 + 1)]
-        weights = solve(matrix, rhs)
-        if weights is None:
-            raise ValueError("v-element is not in the image of the embedding")
-        for w, cand in zip(weights, g_candidates):
-            if w != 0:
-                result = result + w * cand
+    for lane, poly in enumerate(v.coords()):
+        rest = [poly.coeff(i) for i in range(poly.degree + 1)] if poly else []
+        for k in reversed(range(len(rest))):
+            if rest[k] != 0:
+                # A_{-k} has the v_1 coordinate of A_{k+1} and its negated v_2 one.
+                image = [x * (2 if lane else 1) for x in _lane_images(k)[lane]]
+                w = rest[k] * Fraction(1, image[k])
+                rest = [r - w * x for r, x in zip(rest, image)]
+                result = result + w * (G(k + 1) if lane == 0 else A(k + 1) + (A(-k) if lane == 1 else -A(-k)))
+    # Every polynomial triple has a preimage; the round trip guards the closed forms.
     if phi_v(result) != v:
         raise ValueError("v-element is not in the image of the embedding (round trip failed)")
     return result

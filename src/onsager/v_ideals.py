@@ -24,8 +24,6 @@ from .polynomials import T, T_MINUS_ONE, LaurentPoly, monic, poly_divmod, poly_g
 from .scalars import Scalar, as_scalar
 from .tetra import VElement, v_bracket
 
-RESIDUAL_BASIS = ("w_0*t", "w_1*t", "w_2*t", "w_0*(t-1)", "w_1*(t-1)", "w_2*(t-1)")
-
 
 def _basis_rep(index: int) -> VElement:
     """Canonical representative of the residual basis vector (q = 1)."""

@@ -176,13 +176,30 @@ def test_polynomial_arguments_reject_gaussian_coefficients(capsys):
         assert err == "error: polynomial coefficients must be rational\n", argv
 
 
+def _run_module(*argv):
+    return subprocess.run([sys.executable, "-m", "onsager.cli", *argv], capture_output=True, text=True)
+
+
 def test_recursion_limit_reports_error_without_traceback():
-    # The recursive embedding runs out of stack near |m| = 1000.
-    result = subprocess.run(
-        [sys.executable, "-m", "onsager.cli", "convert", "--to", "v", "A_1200"],
-        capture_output=True,
-        text=True,
-    )
+    # The recursive-descent parser runs out of stack on deeply nested input.
+    result = _run_module("bracket", "(" * 300 + "A_1" + ")" * 300)
     assert result.returncode == 1
     assert result.stderr.startswith("error: ")
     assert "Traceback" not in result.stderr
+
+
+def test_large_index_converts_and_round_trips(capsys):
+    # The closed-form embedding has no recursion depth to run out of.
+    forward = _run_module("convert", "--to", "v", "A_1200")
+    assert (forward.returncode, forward.stderr) == (0, "")
+    # The printed element (~1.7 MB, a sum of 2400 terms) is too long for one
+    # argv string on Linux, so the way back runs in process.
+    code, out, err = run_cli(capsys, "convert", "--to", "onsager", forward.stdout.strip())
+    assert (code, out, err) == (0, "A_1200\n", "")
+
+
+def test_negative_window_is_a_usage_error(capsys):
+    for suite, window in (("onsager", "-1"), ("tetra", "-3")):
+        code, out, err = run_cli(capsys, "verify", suite, "--window", window)
+        assert (code, out) == (2, ""), suite
+        assert "window must be a nonnegative integer" in err

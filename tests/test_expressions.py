@@ -31,6 +31,12 @@ def test_parse_sum_node():
     assert ast[0] == "add"
 
 
+def test_long_sum_evaluates_without_recursion():
+    # A sum parses to a left-deep chain; a printed high-degree element has
+    # thousands of terms, more than the interpreter's recursion limit.
+    assert parse_value(" + ".join(["A_1"] * 3000) + " - G_2") == 3000 * A(1) - G(2)
+
+
 def test_mixed_realization_rejected():
     with pytest.raises(RealizationError):
         parse_value("[A_1, b_0]")

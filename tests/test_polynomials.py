@@ -181,6 +181,14 @@ def test_crt_noncoprime_reports_factor():
         crt_solve([LaurentPoly.one(), LaurentPoly.zero()], [tm1, tm1 * P(t1=1, t0=1)])
 
 
+def test_crt_noncoprime_third_modulus_reports_factor():
+    # The first two moduli are coprime; only the third shares t - 1 with the first.
+    tm1 = P(t1=1, t0=-1)
+    moduli = [tm1, P(t1=1, t0=1), tm1 * P(t1=1, t0=2)]
+    with pytest.raises(ValueError, match="common factor t - 1"):
+        crt_solve([LaurentPoly.one()] * 3, moduli)
+
+
 def test_crt_randomized_congruences():
     r = rng(22)
     moduli = [P(t1=1, t0=-1), P(t1=1, t0=1), P(t2=1, t1=3, t0=1)]

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from onsager.core import A, G, bracket, check_dolan_grady
+from onsager.core import A, G, OnsagerElement, bracket, check_dolan_grady, reconstruct_basis
 from onsager.polynomials import (
     LaurentPoly,
     TP_T_DPRIME,
@@ -184,6 +184,22 @@ def test_phi_injective_on_window():
     for _ in range(15):
         x = random_onsager(r)
         assert phi_inverse(phi_v(x)) == x
+
+
+def test_closed_forms_match_bracket_recurrence():
+    # Rebuild every image from phi_v(A_0), phi_v(A_1) with v_bracket alone
+    # (A_m = A_{m-2} + [G_1, A_{m-1}], ...) and compare with the closed forms.
+    rebuilt = reconstruct_basis(40, seeds=(phi_v(A(0)), phi_v(A(1))))
+    assert len(rebuilt) == 3 * 40 + 1  # A_0 and G_n, A_n, A_-n for 1 <= n <= 40
+    for name, image in rebuilt.items():
+        letter, index = name.split("_")
+        assert image == phi_v(A(int(index)) if letter == "A" else G(int(index))), name
+
+
+def test_phi_inverse_high_degree():
+    d = 120
+    x = OnsagerElement({d + 1: 3, -d: Fraction(-1, 2), 17: 5, -40: 1}, {d + 1: Fraction(2, 3), 60: -7})
+    assert phi_inverse(phi_v(x)) == x
 
 
 def test_phi_inverse_rejects_non_image():
